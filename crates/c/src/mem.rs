@@ -38,7 +38,7 @@ use crate::chunks::{Chunk, ChunkKind};
 use crate::values::POISON;
 use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::ops::eval_unop;
-use gillian_gil::{Expr, LVar, Sym, UnOp, Value};
+use gillian_gil::{Expr, LVar, PMap, Sym, UnOp, Value};
 use gillian_solver::{PathCondition, Solver};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -533,36 +533,144 @@ impl ConcreteMemory for CConcMemory {
 // Symbolic memory
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 struct SymBlock {
     size: i64,
     perm: u8,
     freed: bool,
-    /// Byte cells keyed by *simplified* offset expression.
-    cells: BTreeMap<Expr, (Expr, u8, u8)>,
+    /// Byte cells keyed by *simplified* offset expression. Written only
+    /// through [`SymBlock::put`]/[`SymBlock::take`], which keep the two
+    /// counters below in step.
+    cells: PMap<Expr, (Expr, u8, u8)>,
+    /// How many cell offsets are not literal integers.
+    symbolic_offsets: usize,
+    /// The longest run ever stored here: no live run is longer, so a
+    /// run overlapping `[lo, hi)` starts at or after `lo - (max_run - 1)`.
+    max_run: u8,
+}
+
+/// Blocks compare by content; `max_run` is a bound, not content.
+impl PartialEq for SymBlock {
+    fn eq(&self, other: &Self) -> bool {
+        self.size == other.size
+            && self.perm == other.perm
+            && self.freed == other.freed
+            && self.cells == other.cells
+    }
+}
+
+impl SymBlock {
+    fn new(size: i64) -> Self {
+        SymBlock {
+            size,
+            perm: perm::FREEABLE,
+            freed: false,
+            cells: PMap::new(),
+            symbolic_offsets: 0,
+            max_run: 0,
+        }
+    }
+
+    fn put(&mut self, off: Expr, cell: (Expr, u8, u8)) {
+        self.max_run = self.max_run.max(cell.2);
+        let symbolic = off.as_int().is_none();
+        if self.cells.insert(off, cell).is_none() && symbolic {
+            self.symbolic_offsets += 1;
+        }
+    }
+
+    fn take(&mut self, off: &Expr) {
+        if self.cells.remove(off).is_some() && off.as_int().is_none() {
+            self.symbolic_offsets -= 1;
+        }
+    }
+
+    /// True when every cell offset is a literal integer — the common
+    /// case, where accesses at literal offsets can use direct map lookups
+    /// instead of alias branching.
+    fn all_offsets_literal(&self) -> bool {
+        self.symbolic_offsets == 0
+    }
+
+    /// Stores the `size`-byte run of `v` at `base`. First drops the
+    /// `old`-byte run starting at `base`, if any, and then every run with
+    /// a *concrete* start that overlaps the write (when `base` is
+    /// concrete; symbolic partial overlaps are the documented
+    /// limitation). A dropped cell the new run re-populates is
+    /// overwritten rather than removed and re-inserted — the same cells
+    /// result, without shrinking and regrowing the tree.
+    fn write_run(
+        &mut self,
+        base: &Expr,
+        old: Option<u8>,
+        v: &Expr,
+        size: u8,
+        solver: &Solver,
+        pc: &PathCondition,
+    ) {
+        let old_keys: Vec<Expr> = (0..old.unwrap_or(0))
+            .map(|i| offset_key(base, i, solver, pc))
+            .collect();
+        let mut dropped = old_keys.clone();
+        if let Some(lo) = base.as_int() {
+            let hi = lo + size as i64;
+            for (start, n) in self.concrete_starts(lo, hi) {
+                let start_key = Expr::int(start);
+                // The old run is dropped before the overlap search, so a
+                // start among its cells is no longer a start.
+                if start + n as i64 > lo && !old_keys.contains(&start_key) {
+                    dropped.extend((0..n as i64).map(|i| Expr::int(start + i)));
+                }
+            }
+        }
+        let new_keys: Vec<Expr> = (0..size).map(|k| offset_key(base, k, solver, pc)).collect();
+        for key in &dropped {
+            if !new_keys.contains(key) {
+                self.take(key);
+            }
+        }
+        for (k, key) in new_keys.into_iter().enumerate() {
+            self.put(key, (v.clone(), k as u8, size));
+        }
+    }
+
+    /// The `(offset, length)` of every run with a literal start in
+    /// `[lo - (max_run - 1), hi)` — a superset of the concrete runs that
+    /// overlap `[lo, hi)`. Literal-integer keys sort together and in
+    /// numeric order, so this is one range scan, not a walk over the
+    /// whole block.
+    fn concrete_starts(&self, lo: i64, hi: i64) -> Vec<(i64, u8)> {
+        let from = lo.saturating_sub(i64::from(self.max_run.max(1)) - 1);
+        self.cells
+            .range(Expr::int(from)..Expr::int(hi))
+            .filter_map(|(off, (_, k, n))| {
+                let o = off.as_int()?;
+                (*k == 0).then_some((o, *n))
+            })
+            .collect()
+    }
+
+    /// Frees the block: no permission, no cells.
+    fn release(&mut self) {
+        self.freed = true;
+        self.perm = perm::NONE;
+        self.cells = PMap::new();
+        self.symbolic_offsets = 0;
+        self.max_run = 0;
+    }
 }
 
 /// The symbolic MiniC memory.
 ///
-/// Like [`CConcMemory`], blocks are copy-on-write behind [`Arc`]s, so the
-/// per-branch state clones of symbolic execution stay cheap and straight-
-/// line execution mutates in place.
+/// The block table and each block's cells are persistent maps
+/// ([`PMap`]): the per-branch memory clones of symbolic execution are
+/// O(1), and an action's write copies only the O(log n) nodes on the
+/// path to what it changes, sharing the rest with the memory it was
+/// cloned from (DESIGN.md §18).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CSymMemory {
-    blocks: Arc<BTreeMap<Sym, Arc<SymBlock>>>,
-    globals: Arc<BTreeMap<Arc<str>, Expr>>,
-}
-
-impl CSymMemory {
-    fn block_mut(&mut self, b: Sym) -> Option<&mut SymBlock> {
-        Arc::make_mut(&mut self.blocks)
-            .get_mut(&b)
-            .map(Arc::make_mut)
-    }
-
-    fn blocks_mut(&mut self) -> &mut BTreeMap<Sym, Arc<SymBlock>> {
-        Arc::make_mut(&mut self.blocks)
-    }
+    blocks: PMap<Sym, SymBlock>,
+    globals: PMap<Arc<str>, Expr>,
 }
 
 fn expr_args(arg: &Expr, n: usize, action: &str) -> Result<Vec<Expr>, Expr> {
@@ -627,24 +735,15 @@ fn decode_expr(v: &Expr, chunk: Chunk) -> Expr {
 impl CSymMemory {
     /// Direct block registration (for tests).
     pub fn register_block(&mut self, b: Sym, size: i64) {
-        self.blocks_mut().insert(
-            b,
-            Arc::new(SymBlock {
-                size,
-                perm: perm::FREEABLE,
-                freed: false,
-                cells: BTreeMap::new(),
-            }),
-        );
+        self.blocks.insert(b, SymBlock::new(size));
     }
 
     /// Direct run write (for tests): stores value `v` of `n` bytes at
     /// concrete offset `off`.
     pub fn set_run(&mut self, b: Sym, off: i64, v: Expr, n: u8) {
-        let blk = self.block_mut(b).expect("block registered");
+        let blk = self.blocks.get_mut(&b).expect("block registered");
         for k in 0..n {
-            blk.cells
-                .insert(Expr::int(off + k as i64), (v.clone(), k, n));
+            blk.put(Expr::int(off + k as i64), (v.clone(), k, n));
         }
     }
 
@@ -677,23 +776,14 @@ impl CSymMemory {
             .unwrap_or_default()
     }
 
-    /// True when every cell offset of the block is a literal integer —
-    /// the common case, where accesses at literal offsets can use direct
-    /// map lookups instead of alias branching.
-    fn all_offsets_literal(&self, b: Sym) -> bool {
-        self.blocks
-            .get(&b)
-            .is_some_and(|blk| blk.cells.keys().all(|off| off.as_int().is_some()))
-    }
-
     /// Fast-path candidates for an access at a *literal* offset into a
     /// block whose cells are all at literal offsets: at most one run can
     /// match, found by direct lookup instead of scanning every run.
     fn literal_candidates(&self, b: Sym, off: i64) -> Option<Vec<(Expr, Expr, u8)>> {
-        if !self.all_offsets_literal(b) {
+        let blk = self.blocks.get(&b)?;
+        if !blk.all_offsets_literal() {
             return None;
         }
-        let blk = self.blocks.get(&b)?;
         Some(match blk.cells.get(&Expr::int(off)) {
             Some((v, 0, n)) => vec![(Expr::int(off), v.clone(), *n)],
             // A mid-run hit or a miss: no run *starts* here; the general
@@ -723,29 +813,6 @@ impl CSymMemory {
             }
         }
         true
-    }
-
-    /// Removes the run starting at `base` with `n` bytes.
-    fn remove_run(blk: &mut SymBlock, base: &Expr, n: u8, solver: &Solver, pc: &PathCondition) {
-        for i in 0..n {
-            let key = offset_key(base, i, solver, pc);
-            blk.cells.remove(&key);
-        }
-    }
-
-    /// Inserts a run of `n` bytes of `v` at `base`.
-    fn insert_run(
-        blk: &mut SymBlock,
-        base: &Expr,
-        v: &Expr,
-        n: u8,
-        solver: &Solver,
-        pc: &PathCondition,
-    ) {
-        for k in 0..n {
-            let key = offset_key(base, k, solver, pc);
-            blk.cells.insert(key, (v.clone(), k, n));
-        }
     }
 
     /// Validity prologue shared by memory accesses: checks the block and
@@ -884,7 +951,7 @@ impl CSymMemory {
         };
         let off = args[2].as_int()?;
         let blk = self.blocks.get(&b)?;
-        if blk.freed || blk.perm < need || !self.all_offsets_literal(b) {
+        if blk.freed || blk.perm < need || !blk.all_offsets_literal() {
             return None;
         }
         Some((chunk, b, off, blk))
@@ -966,12 +1033,8 @@ impl CSymMemory {
                 _ => None,
             };
             let mut mem = self.clone();
-            let mblk = mem.block_mut(b).expect("block checked");
-            if let Some(n) = old_run {
-                Self::remove_run(mblk, &base, n, solver, pc);
-            }
-            remove_concrete_overlaps(mblk, &base, chunk.size);
-            Self::insert_run(mblk, &base, &value, chunk.size, solver, pc);
+            let mblk = mem.blocks.get_mut(&b).expect("block checked");
+            mblk.write_run(&base, old_run, &value, chunk.size, solver, pc);
             SymBranch::ok_if(mem, value, Expr::tt())
         };
         Some(literal_gate(pc, solver, vec![branch]))
@@ -995,10 +1058,8 @@ impl CSymMemory {
         }
         let branch = if off == 0 {
             let mut mem = self.clone();
-            if let Some(mblk) = mem.block_mut(b) {
-                mblk.freed = true;
-                mblk.perm = perm::NONE;
-                mblk.cells.clear();
+            if let Some(mblk) = mem.blocks.get_mut(&b) {
+                mblk.release();
             }
             SymBranch::ok_if(mem, Expr::tt(), Expr::tt())
         } else {
@@ -1165,10 +1226,8 @@ impl SymbolicMemory for CSymMemory {
                 let zero = solver.simplify(pc, &off.clone().eq(Expr::int(0)));
                 let nonzero = solver.simplify(pc, &zero.clone().not());
                 let mut mem = self.clone();
-                if let Some(mblk) = mem.block_mut(b) {
-                    mblk.freed = true;
-                    mblk.perm = perm::NONE;
-                    mblk.cells.clear();
+                if let Some(mblk) = mem.blocks.get_mut(&b) {
+                    mblk.release();
                 }
                 push_branch(
                     &mut out,
@@ -1331,11 +1390,8 @@ impl SymbolicMemory for CSymMemory {
                         continue;
                     }
                     let mut mem = self.clone();
-                    let blk = mem.block_mut(b).expect("block checked");
-                    Self::remove_run(blk, &base, n, solver, pc);
-                    // Concrete partial overlaps with *other* runs.
-                    remove_concrete_overlaps(blk, &base, chunk.size);
-                    Self::insert_run(blk, &base, &value, chunk.size, solver, pc);
+                    let blk = mem.blocks.get_mut(&b).expect("block checked");
+                    blk.write_run(&base, Some(n), &value, chunk.size, solver, pc);
                     push_branch(
                         &mut out,
                         pc,
@@ -1347,9 +1403,8 @@ impl SymbolicMemory for CSymMemory {
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
                     let mut mem = self.clone();
-                    let blk = mem.block_mut(b).expect("block checked");
-                    remove_concrete_overlaps(blk, &off, chunk.size);
-                    Self::insert_run(blk, &off, &value, chunk.size, solver, pc);
+                    let blk = mem.blocks.get_mut(&b).expect("block checked");
+                    blk.write_run(&off, None, &value, chunk.size, solver, pc);
                     push_branch(
                         &mut out,
                         pc,
@@ -1433,11 +1488,11 @@ impl SymbolicMemory for CSymMemory {
                     return err1(ub_expr("out-of-bounds", format!("storeBytes at {b}+{off}")));
                 }
                 let mut mem = self.clone();
-                let blk = mem.block_mut(b).expect("checked");
+                let blk = mem.blocks.get_mut(&b).expect("checked");
                 for (i, byte) in bytes.into_iter().enumerate() {
                     let key = Expr::int(off + i as i64);
                     if byte == Expr::Val(Value::Sym(POISON)) {
-                        blk.cells.remove(&key);
+                        blk.take(&key);
                         continue;
                     }
                     let parts = match &byte {
@@ -1450,7 +1505,7 @@ impl SymbolicMemory for CSymMemory {
                     let (Some(k), Some(n)) = (parts[1].as_int(), parts[2].as_int()) else {
                         return err1(ub_expr("bad-action-argument", "storeBytes: bad byte"));
                     };
-                    blk.cells.insert(key, (parts[0].clone(), k as u8, n as u8));
+                    blk.put(key, (parts[0].clone(), k as u8, n as u8));
                 }
                 vec![SymBranch::ok(mem, Expr::tt())]
             }
@@ -1467,7 +1522,7 @@ impl SymbolicMemory for CSymMemory {
                     return err1(ub_expr("bad-action-argument", "dropPerm: level"));
                 };
                 let mut mem = self.clone();
-                let Some(blk) = mem.block_mut(b) else {
+                let Some(blk) = mem.blocks.get_mut(&b) else {
                     return err1(ub_expr("invalid-block", format!("dropPerm on {b}")));
                 };
                 blk.perm = blk.perm.min(p as u8);
@@ -1557,7 +1612,7 @@ impl SymbolicMemory for CSymMemory {
                     _ => return err1(ub_expr("bad-action-argument", "globalSet: name")),
                 };
                 let mut mem = self.clone();
-                Arc::make_mut(&mut mem.globals).insert(name, args[1].clone());
+                mem.globals.insert(name, args[1].clone());
                 vec![SymBranch::ok(mem, args[1].clone())]
             }
             "globalGet" => {
@@ -1586,29 +1641,6 @@ impl SymbolicMemory for CSymMemory {
             out.extend(v.lvars());
         }
         out
-    }
-}
-
-/// Removes runs with *concrete* bases that overlap a write of `size` bytes
-/// at `base` (when `base` is concrete). Symbolic partial overlaps are the
-/// documented limitation.
-fn remove_concrete_overlaps(blk: &mut SymBlock, base: &Expr, size: u8) {
-    let Some(lo) = base.as_int() else { return };
-    let hi = lo + size as i64;
-    let starts: Vec<(i64, u8)> = blk
-        .cells
-        .iter()
-        .filter_map(|(off, (_, k, n))| {
-            let o = off.as_int()?;
-            (*k == 0).then_some((o, *n))
-        })
-        .collect();
-    for (start, n) in starts {
-        if start < hi && start + n as i64 > lo {
-            for i in 0..n as i64 {
-                blk.cells.remove(&Expr::int(start + i));
-            }
-        }
     }
 }
 
@@ -1941,5 +1973,148 @@ mod tests {
         );
         assert_eq!(branches.len(), 1);
         assert!(branches[0].outcome.is_err());
+    }
+
+    /// Nodes of `m` that `parent` does not share (block table plus every
+    /// block's cells), and `m`'s total node count.
+    fn sharing(m: &CSymMemory, parent: &CSymMemory) -> (usize, usize) {
+        let empty = PMap::new();
+        let mut unshared = m.blocks.unshared_nodes(&parent.blocks);
+        let mut total = m.blocks.node_count();
+        for (b, blk) in m.blocks.iter() {
+            let theirs = parent.blocks.get(b).map_or(&empty, |p| &p.cells);
+            unshared += blk.cells.unshared_nodes(theirs);
+            total += blk.cells.node_count();
+        }
+        (unshared, total)
+    }
+
+    #[test]
+    fn symbolic_store_shares_all_but_a_path() {
+        // 48 blocks; block 7 holds 64 eight-byte runs = 512 cells.
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = CSymMemory::default();
+        for i in 0..48 {
+            m.register_block(blk(i), 512);
+        }
+        let b = blk(7);
+        for r in 0..64 {
+            m.set_run(b, 8 * r, Expr::int(r), 8);
+        }
+        let cells = &m.blocks.get(&b).unwrap().cells;
+        assert_eq!(cells.len(), 512);
+        let bound = 2 * (m.blocks.height() + cells.height());
+        let i8c = Chunk::int(8).to_expr();
+        let store = m.action_code("store").unwrap();
+        for (off, old) in [(200, Expr::int(25)), (260, Expr::int(-1))] {
+            let arg = Expr::list([i8c.clone(), Expr::Val(Value::Sym(b)), Expr::int(off), old]);
+            let fast = m.execute_action_coded(store, "store", &arg, &pc, &solver);
+            let general = m.execute_action("store", &arg, &pc, &solver);
+            for branches in [fast, general] {
+                assert_eq!(branches.len(), 1);
+                let (unshared, total) = sharing(&branches[0].memory, &m);
+                assert!(
+                    unshared <= bound && 4 * bound < total,
+                    "store at {off} copied {unshared} of {total} nodes (bound {bound})"
+                );
+            }
+        }
+    }
+
+    /// The store algorithm `write_run` replaces, on a plain map: drop the
+    /// old run, then every concrete run overlapping the write, then
+    /// insert the new run.
+    fn reference_write(
+        cells: &BTreeMap<Expr, (Expr, u8, u8)>,
+        base: &Expr,
+        old: Option<u8>,
+        v: &Expr,
+        size: u8,
+        solver: &Solver,
+        pc: &PathCondition,
+    ) -> BTreeMap<Expr, (Expr, u8, u8)> {
+        let mut m = cells.clone();
+        for i in 0..old.unwrap_or(0) {
+            m.remove(&offset_key(base, i, solver, pc));
+        }
+        if let Some(lo) = base.as_int() {
+            let hi = lo + size as i64;
+            let starts: Vec<(i64, u8)> = m
+                .iter()
+                .filter_map(|(off, (_, k, n))| (*k == 0).then_some((off.as_int()?, *n)))
+                .collect();
+            for (start, n) in starts {
+                if start < hi && start + n as i64 > lo {
+                    for i in 0..n as i64 {
+                        m.remove(&Expr::int(start + i));
+                    }
+                }
+            }
+        }
+        for k in 0..size {
+            m.insert(offset_key(base, k, solver, pc), (v.clone(), k, size));
+        }
+        m
+    }
+
+    #[test]
+    fn write_run_matches_the_reference_store() {
+        // Random blocks mixing well-formed runs, torn leftovers (cells of
+        // any `k`/`n`, as `storeBytes` can leave) and symbolic offsets.
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |below: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % below
+        };
+        let x = Expr::lvar(LVar(0));
+        for _ in 0..400 {
+            let mut blk = SymBlock::new(96);
+            for _ in 0..next(40) {
+                let off = next(80) as i64;
+                let n = 1 + next(12) as u8;
+                if next(3) == 0 {
+                    let k = next(n as u64) as u8;
+                    blk.put(Expr::int(off), (Expr::int(off), k, n));
+                } else {
+                    for k in 0..n {
+                        blk.put(Expr::int(off + k as i64), (Expr::int(off), k, n));
+                    }
+                }
+            }
+            if next(4) == 0 {
+                let key = offset_key(&x, next(3) as u8, &solver, &pc);
+                blk.put(key, (Expr::int(-7), 0, 1));
+            }
+            let before: BTreeMap<_, _> = blk
+                .cells
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            let base = if next(5) == 0 {
+                x.clone()
+            } else {
+                Expr::int(next(88) as i64)
+            };
+            let old = match blk.cells.get(&base) {
+                Some((_, 0, n)) => Some(*n),
+                _ => None,
+            };
+            let size = [1, 2, 4, 8][next(4) as usize];
+            let v = Expr::int(1000);
+            let want = reference_write(&before, &base, old, &v, size, &solver, &pc);
+            blk.write_run(&base, old, &v, size, &solver, &pc);
+            assert!(
+                blk.cells.iter().eq(want.iter()),
+                "store of {size} at {base} (old run {old:?}) over {before:?}"
+            );
+            let symbolic = blk.cells.keys().filter(|k| k.as_int().is_none()).count();
+            assert_eq!(blk.symbolic_offsets, symbolic);
+            assert!(blk.cells.values().all(|(_, _, n)| *n <= blk.max_run));
+        }
     }
 }

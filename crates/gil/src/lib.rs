@@ -45,6 +45,7 @@ pub mod hashing;
 pub mod intern;
 pub mod ops;
 pub mod parser;
+pub mod pmap;
 pub mod prog;
 pub mod serial;
 pub mod value;
@@ -56,6 +57,7 @@ pub use expr::{Expr, LVar};
 pub use hashing::{FxBuildHasher, PrehashedBuildHasher};
 pub use intern::{ExprList, InternStats, Term};
 pub use ops::{BinOp, EvalError, UnOp};
+pub use pmap::PMap;
 pub use prog::{Cmd, Ident, Label, Proc, Prog};
 pub use serial::{ByteReader, Decoder, Encoder, WireError};
 pub use value::{Sym, TypeTag, Value, F64};

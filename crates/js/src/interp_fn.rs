@@ -27,7 +27,7 @@ impl MemoryInterpretation for JsInterpretation {
                 return Err(format!("I_JS: objects collapse onto {loc}"));
             }
         }
-        for ((loc_e, key_e), val_e) in sym.heap_cells() {
+        for (loc_e, key_e, val_e) in sym.heap_cells() {
             let loc = model
                 .eval(loc_e)
                 .map_err(|e| format!("I_JS: cell location {loc_e} uninterpretable: {e}"))?;

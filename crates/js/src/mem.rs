@@ -22,7 +22,7 @@
 
 use crate::values::undefined_expr;
 use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
-use gillian_gil::{Expr, LVar, Value};
+use gillian_gil::{Expr, LVar, PMap, Value};
 use gillian_solver::{PathCondition, Solver};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -189,46 +189,120 @@ impl ConcreteMemory for JsConcMemory {
     }
 }
 
-/// A symbolic MiniJS memory (copy-on-write, like [`JsConcMemory`]).
+/// True for a literal expression: one whose equalities with other
+/// literals fold syntactically.
+fn is_literal(e: &Expr) -> bool {
+    matches!(e, Expr::Val(_))
+}
+
+/// One symbolic object: its metadata and its properties.
+#[derive(Clone, Debug, PartialEq)]
+struct JsObject {
+    meta: Expr,
+    props: PMap<Expr, Expr>,
+    /// How many property keys are not literals.
+    symbolic_keys: usize,
+}
+
+impl JsObject {
+    fn new(meta: Expr) -> Self {
+        JsObject {
+            meta,
+            props: PMap::new(),
+            symbolic_keys: 0,
+        }
+    }
+
+    fn set(&mut self, key: Expr, value: Expr) -> Option<Expr> {
+        let symbolic = !is_literal(&key);
+        let old = self.props.insert(key, value);
+        if old.is_none() && symbolic {
+            self.symbolic_keys += 1;
+        }
+        old
+    }
+
+    fn unset(&mut self, key: &Expr) {
+        if self.props.remove(key).is_some() && !is_literal(key) {
+            self.symbolic_keys -= 1;
+        }
+    }
+}
+
+/// A symbolic MiniJS memory: objects keyed by location, each holding its
+/// metadata and a property map.
+///
+/// Both levels are persistent maps ([`PMap`]): cloning the memory is
+/// O(1), and a property write copies only the O(log n) nodes on the path
+/// to that object and, inside it, to that property (DESIGN.md §18).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JsSymMemory {
-    meta: std::sync::Arc<BTreeMap<Expr, Expr>>,
-    cells: std::sync::Arc<BTreeMap<(Expr, Expr), Expr>>,
+    heap: PMap<Expr, JsObject>,
+    /// How many object locations are not literals.
+    symbolic_locs: usize,
 }
 
 impl JsSymMemory {
     /// Number of live objects.
     pub fn object_count(&self) -> usize {
-        self.meta.len()
+        self.heap.len()
     }
 
-    /// Direct insertion for tests.
+    /// Registers an object (or replaces its metadata), returning the
+    /// metadata it replaces.
     pub fn insert_object(&mut self, loc: Expr, meta: Expr) -> Option<Expr> {
-        std::sync::Arc::make_mut(&mut self.meta).insert(loc, meta)
+        if let Some(obj) = self.heap.get_mut(&loc) {
+            return Some(std::mem::replace(&mut obj.meta, meta));
+        }
+        if !is_literal(&loc) {
+            self.symbolic_locs += 1;
+        }
+        self.heap.insert(loc, JsObject::new(meta));
+        None
     }
 
-    /// Direct cell insertion for tests.
+    /// Direct cell insertion for tests; the object must be registered.
     pub fn insert_cell(&mut self, loc: Expr, key: Expr, value: Expr) -> Option<Expr> {
-        std::sync::Arc::make_mut(&mut self.cells).insert((loc, key), value)
+        self.object_mut(&loc).set(key, value)
     }
 
-    /// Iterates over objects (for the interpretation function).
+    /// Iterates over objects and their metadata, by location (for the
+    /// interpretation function).
     pub fn objects(&self) -> impl Iterator<Item = (&Expr, &Expr)> {
-        self.meta.iter()
+        self.heap.iter().map(|(loc, obj)| (loc, &obj.meta))
     }
 
-    /// Iterates over heap cells (for the interpretation function).
-    pub fn heap_cells(&self) -> impl Iterator<Item = (&(Expr, Expr), &Expr)> {
-        self.cells.iter()
+    /// Iterates over heap cells `(location, key, value)` in
+    /// `(location, key)` order (for the interpretation function).
+    pub fn heap_cells(&self) -> impl Iterator<Item = (&Expr, &Expr, &Expr)> {
+        self.heap
+            .iter()
+            .flat_map(|(loc, obj)| obj.props.iter().map(move |(k, v)| (loc, k, v)))
+    }
+
+    /// The object at the registered location `loc`, copying the path to
+    /// it where it is shared.
+    fn object_mut(&mut self, loc: &Expr) -> &mut JsObject {
+        self.heap.get_mut(loc).expect("object registered")
+    }
+
+    fn remove_object(&mut self, loc: &Expr) {
+        if self.heap.remove(loc).is_some() && !is_literal(loc) {
+            self.symbolic_locs -= 1;
+        }
+    }
+
+    /// The value of property `key` (syntactically) of object `loc`.
+    fn prop(&self, loc: &Expr, key: &Expr) -> Option<&Expr> {
+        self.heap.get(loc)?.props.get(key)
     }
 
     /// The keys defined on object `loc` (syntactically keyed cells).
     fn keys_of(&self, loc: &Expr) -> Vec<Expr> {
-        self.cells
-            .keys()
-            .filter(|(l, _)| l == loc)
-            .map(|(_, k)| k.clone())
-            .collect()
+        self.heap
+            .get(loc)
+            .map(|obj| obj.props.keys().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Matches `el` against the registered object locations: the feasible
@@ -242,7 +316,7 @@ impl JsSymMemory {
     ) -> (Vec<(Expr, Expr)>, Expr) {
         let mut matches = Vec::new();
         let mut none_of = Expr::tt();
-        for loc in self.meta.keys() {
+        for loc in self.heap.keys() {
             let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
             if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
                 matches.push((loc.clone(), eq));
@@ -281,8 +355,8 @@ impl JsSymMemory {
     // `true`, every other candidate folds to `false`, and the
     // none-of-them disequality conjunction folds to `false` (a match
     // exists) or `true` (no match). `eval_binop(Eq)` is total and
-    // `Value`'s derived `Eq`/`Ord` agree, so a `BTreeMap` hit is *the
-    // same decision* the solver's constant folder would make. The branch
+    // `Value`'s derived `Eq`/`Ord` agree, so a map hit is *the same
+    // decision* the solver's constant folder would make. The branch
     // set is therefore decided without the solver — except for one
     // residual probe: `push_branch` gates the surviving branch on
     // `sat(pc ∧ true)`, which [`literal_gate`] preserves so an unsat
@@ -290,39 +364,24 @@ impl JsSymMemory {
     // These helpers are reachable only from `execute_action_coded` (the
     // bytecode backend); the tree walk stays a byte-identical reference.
 
-    /// True when every expression yielded is a literal value.
-    fn all_literal<'a>(mut exprs: impl Iterator<Item = &'a Expr>) -> bool {
-        exprs.all(|e| matches!(e, Expr::Val(_)))
-    }
-
     /// Resolves a literal location against a fully-literal object table:
     /// `Some(found)` when the match folds for every registered object,
     /// `None` when any side is symbolic and `match_objects` must run.
     fn literal_object(&self, el: &Expr) -> Option<Option<Expr>> {
-        if !matches!(el, Expr::Val(_)) || !Self::all_literal(self.meta.keys()) {
+        if !is_literal(el) || self.symbolic_locs > 0 {
             return None;
         }
-        Some(self.meta.get_key_value(el).map(|(loc, _)| loc.clone()))
+        Some(self.heap.get_key_value(el).map(|(loc, _)| loc.clone()))
     }
 
-    /// Resolves a literal key against object `loc` when all of its keys
-    /// are literal; `None` falls back to `match_keys`.
+    /// Resolves a literal key against the registered object `loc` when
+    /// all of its keys are literal; `None` falls back to `match_keys`.
     fn literal_key(&self, loc: &Expr, ek: &Expr) -> Option<Option<Expr>> {
-        if !matches!(ek, Expr::Val(_)) {
+        let obj = self.heap.get(loc)?;
+        if !is_literal(ek) || obj.symbolic_keys > 0 {
             return None;
         }
-        let mut found = None;
-        for (l, k) in self.cells.keys() {
-            if l == loc {
-                if !matches!(k, Expr::Val(_)) {
-                    return None;
-                }
-                if k == ek {
-                    found = Some(k.clone());
-                }
-            }
-        }
-        Some(found)
+        Some(obj.props.get_key_value(ek).map(|(k, _)| k.clone()))
     }
 
     /// The non-object error branch shared by the literal fast paths.
@@ -353,8 +412,7 @@ impl JsSymMemory {
         Some(match self.literal_object(el)? {
             Some(loc) => {
                 let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.meta).remove(&loc);
-                std::sync::Arc::make_mut(&mut mem.cells).retain(|(l, _), _| l != &loc);
+                mem.remove_object(&loc);
                 literal_gate(
                     pc,
                     solver,
@@ -378,7 +436,7 @@ impl JsSymMemory {
             None => return Some(self.literal_not_obj("getProp", el, pc, solver)),
         };
         let value = match self.literal_key(&loc, ek)? {
-            Some(key) => self.cells[&(loc, key)].clone(),
+            Some(key) => self.prop(&loc, &key).expect("key found").clone(),
             // Absent key reads as `undefined` (JS semantics).
             None => undefined_expr(),
         };
@@ -405,7 +463,7 @@ impl JsSymMemory {
         // looked-up one — content-identical here (both fold equal).
         let key = self.literal_key(&loc, ek)?.unwrap_or_else(|| ek.clone());
         let mut mem = self.clone();
-        std::sync::Arc::make_mut(&mut mem.cells).insert((loc, key), ev.clone());
+        mem.object_mut(&loc).set(key, ev.clone());
         Some(literal_gate(
             pc,
             solver,
@@ -428,7 +486,7 @@ impl JsSymMemory {
         let mem = match self.literal_key(&loc, ek)? {
             Some(key) => {
                 let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.cells).remove(&(loc, key));
+                mem.object_mut(&loc).unset(&key);
                 mem
             }
             // Deleting an absent property is a no-op, like JS.
@@ -469,7 +527,7 @@ impl JsSymMemory {
     ) -> Option<Vec<SymBranch<Self>>> {
         Some(match self.literal_object(el)? {
             Some(loc) => {
-                let meta = self.meta[&loc].clone();
+                let meta = self.heap.get(&loc).expect("object found").meta.clone();
                 literal_gate(
                     pc,
                     solver,
@@ -491,7 +549,7 @@ impl JsSymMemory {
         Some(match self.literal_object(el)? {
             Some(loc) => {
                 let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.meta).insert(loc, em.clone());
+                mem.object_mut(&loc).meta = em.clone();
                 literal_gate(
                     pc,
                     solver,
@@ -600,7 +658,7 @@ impl SymbolicMemory for JsSymMemory {
                     Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
                 };
                 // Locations come from the allocator, so existence folds.
-                if self.meta.contains_key(&args[0]) {
+                if self.heap.contains_key(&args[0]) {
                     return vec![SymBranch::err_if(
                         self.clone(),
                         err_expr(format!("newObj: {} already exists", args[0])),
@@ -608,7 +666,7 @@ impl SymbolicMemory for JsSymMemory {
                     )];
                 }
                 let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.meta).insert(args[0].clone(), args[1].clone());
+                mem.insert_object(args[0].clone(), args[1].clone());
                 vec![SymBranch::ok(mem, args[0].clone())]
             }
             "delObj" => {
@@ -616,8 +674,7 @@ impl SymbolicMemory for JsSymMemory {
                 let (matches, none_of) = self.match_objects(&el, pc, solver);
                 for (loc, eq) in matches {
                     let mut mem = self.clone();
-                    std::sync::Arc::make_mut(&mut mem.meta).remove(&loc);
-                    std::sync::Arc::make_mut(&mut mem.cells).retain(|(l, _), _| l != &loc);
+                    mem.remove_object(&loc);
                     push_branch(&mut out, pc, solver, SymBranch::ok_if(mem, Expr::tt(), eq));
                 }
                 push_branch(
@@ -644,7 +701,7 @@ impl SymbolicMemory for JsSymMemory {
                     // branch yielding `undefined`.
                     let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
                     for (key, eq) in keys {
-                        let value = self.cells[&(loc.clone(), key)].clone();
+                        let value = self.prop(&loc, &key).expect("key matched").clone();
                         push_branch(
                             &mut out,
                             pc,
@@ -682,13 +739,11 @@ impl SymbolicMemory for JsSymMemory {
                     let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
                     for (key, eq) in keys {
                         let mut mem = self.clone();
-                        std::sync::Arc::make_mut(&mut mem.cells)
-                            .insert((loc.clone(), key), ev.clone());
+                        mem.object_mut(&loc).set(key, ev.clone());
                         push_branch(&mut out, pc, solver, SymBranch::ok_if(mem, ev.clone(), eq));
                     }
                     let mut mem = self.clone();
-                    std::sync::Arc::make_mut(&mut mem.cells)
-                        .insert((loc.clone(), ek.clone()), ev.clone());
+                    mem.object_mut(&loc).set(ek.clone(), ev.clone());
                     push_branch(
                         &mut out,
                         pc,
@@ -719,7 +774,7 @@ impl SymbolicMemory for JsSymMemory {
                     let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
                     for (key, eq) in keys {
                         let mut mem = self.clone();
-                        std::sync::Arc::make_mut(&mut mem.cells).remove(&(loc.clone(), key));
+                        mem.object_mut(&loc).unset(&key);
                         push_branch(&mut out, pc, solver, SymBranch::ok_if(mem, Expr::tt(), eq));
                     }
                     // Deleting an absent property is a no-op, like JS.
@@ -782,7 +837,7 @@ impl SymbolicMemory for JsSymMemory {
                 let el = arg.clone();
                 let (objs, not_obj) = self.match_objects(&el, pc, solver);
                 for (loc, obj_eq) in objs {
-                    let meta = self.meta[&loc].clone();
+                    let meta = self.heap.get(&loc).expect("object matched").meta.clone();
                     push_branch(
                         &mut out,
                         pc,
@@ -811,7 +866,7 @@ impl SymbolicMemory for JsSymMemory {
                 let (objs, not_obj) = self.match_objects(&el, pc, solver);
                 for (loc, obj_eq) in objs {
                     let mut mem = self.clone();
-                    std::sync::Arc::make_mut(&mut mem.meta).insert(loc, em.clone());
+                    mem.object_mut(&loc).meta = em.clone();
                     push_branch(
                         &mut out,
                         pc,
@@ -841,14 +896,13 @@ impl SymbolicMemory for JsSymMemory {
 
     fn lvars(&self) -> BTreeSet<LVar> {
         let mut out = BTreeSet::new();
-        for (loc, meta) in self.meta.iter() {
+        for (loc, obj) in self.heap.iter() {
             out.extend(loc.lvars());
-            out.extend(meta.lvars());
-        }
-        for ((loc, key), value) in self.cells.iter() {
-            out.extend(loc.lvars());
-            out.extend(key.lvars());
-            out.extend(value.lvars());
+            out.extend(obj.meta.lvars());
+            for (key, value) in obj.props.iter() {
+                out.extend(key.lvars());
+                out.extend(value.lvars());
+            }
         }
         out
     }
@@ -989,8 +1043,49 @@ mod tests {
         let branches =
             m.execute_action("setProp", &Expr::list([l, k, Expr::num(9.0)]), &pc, &solver);
         assert_eq!(branches.len(), 2);
-        let sizes: Vec<usize> = branches.iter().map(|b| b.memory.cells.len()).collect();
+        let sizes: Vec<usize> = branches
+            .iter()
+            .map(|b| b.memory.heap_cells().count())
+            .collect();
         assert!(sizes.contains(&1), "overwrite branch");
         assert!(sizes.contains(&2), "extend branch");
+    }
+
+    #[test]
+    fn symbolic_set_prop_shares_all_but_a_path() {
+        // 64 objects of 12 properties each.
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = JsSymMemory::default();
+        for i in 0..64 {
+            let l = Expr::Val(loc(i));
+            m.insert_object(l.clone(), Expr::str("Object"));
+            for p in 0..12 {
+                m.insert_cell(l.clone(), Expr::str(format!("p{p}")), Expr::num(p as f64));
+            }
+        }
+        let target = Expr::Val(loc(40));
+        let props = &m.heap.get(&target).unwrap().props;
+        let bound = 2 * (m.heap.height() + props.height());
+        let set_prop = m.action_code("setProp").unwrap();
+        for key in ["p3", "fresh"] {
+            let arg = Expr::list([target.clone(), Expr::str(key), Expr::num(-1.0)]);
+            let fast = m.execute_action_coded(set_prop, "setProp", &arg, &pc, &solver);
+            let general = m.execute_action("setProp", &arg, &pc, &solver);
+            for branches in [fast, general] {
+                assert_eq!(branches.len(), 1);
+                let mem = &branches[0].memory;
+                let mut unshared = mem.heap.unshared_nodes(&m.heap);
+                let mut total = mem.heap.node_count();
+                for (l, obj) in mem.heap.iter() {
+                    unshared += obj.props.unshared_nodes(&m.heap.get(l).unwrap().props);
+                    total += obj.props.node_count();
+                }
+                assert!(
+                    unshared <= bound && 4 * bound < total,
+                    "setProp {key} copied {unshared} of {total} nodes (bound {bound})"
+                );
+            }
+        }
     }
 }

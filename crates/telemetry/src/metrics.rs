@@ -188,7 +188,8 @@ impl HistogramSnapshot {
     }
 
     /// The bucket upper bound at or below which fraction `p` (0..=1) of
-    /// observations fall — a conservative percentile.
+    /// observations fall — a conservative percentile — clamped to the
+    /// observed maximum, which no observation exceeds either.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -198,7 +199,7 @@ impl HistogramSnapshot {
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= target.max(1) {
-                return Histogram::bucket_bound(i);
+                return Histogram::bucket_bound(i).min(self.max);
             }
         }
         self.max
@@ -418,6 +419,24 @@ mod tests {
         let s = h.snapshot();
         assert!(s.percentile(0.5) >= 2 && s.percentile(0.5) <= 3);
         assert!(s.percentile(1.0) >= 1 << 20);
+    }
+
+    #[test]
+    fn percentiles_never_exceed_the_maximum() {
+        // 64 sits in the 64..=127 bucket; the bound must not print above
+        // what was observed (`p90<=127 … max=64`).
+        let h = Histogram::new();
+        for _ in 0..10 {
+            h.record(64);
+        }
+        let s = h.snapshot();
+        assert!(Histogram::bucket_bound(Histogram::bucket_of(64)) > 64);
+        assert_eq!(s.percentile(0.9), 64);
+        assert_eq!(s.percentile(1.0), 64);
+        assert_eq!(
+            s.summary("us"),
+            "n=10 p50<=64us p90<=64us p99<=64us max=64us"
+        );
     }
 
     #[test]

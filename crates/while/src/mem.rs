@@ -14,7 +14,7 @@
 use gillian_core::checkpoint::StateIoError;
 use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
-use gillian_gil::{Expr, Value};
+use gillian_gil::{Expr, PMap, Value};
 use gillian_solver::{PathCondition, Solver};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -97,11 +97,14 @@ impl ConcreteMemory for WhileConcMemory {
     }
 }
 
-/// A symbolic While memory: `(location expression, property) ⇀ expression`
-/// (copy-on-write behind an [`Arc`]).
+/// A symbolic While memory: `(location expression, property) ⇀ expression`.
+///
+/// The cells are a persistent map ([`PMap`]): cloning the memory is O(1),
+/// and a write copies only the O(log n) nodes on the path to the changed
+/// cell (DESIGN.md §18).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WhileSymMemory {
-    cells: Arc<BTreeMap<(Expr, Arc<str>), Expr>>,
+    cells: PMap<(Expr, Arc<str>), Expr>,
 }
 
 impl WhileSymMemory {
@@ -117,7 +120,7 @@ impl WhileSymMemory {
 
     /// Direct cell insertion (for tests).
     pub fn insert(&mut self, loc: Expr, prop: impl AsRef<str>, value: Expr) -> Option<Expr> {
-        Arc::make_mut(&mut self.cells).insert((loc, Arc::from(prop.as_ref())), value)
+        self.cells.insert((loc, Arc::from(prop.as_ref())), value)
     }
 
     /// Iterates over cells in canonical order (used by the interpretation
@@ -135,12 +138,25 @@ impl WhileSymMemory {
             .collect()
     }
 
-    /// All distinct locations in the memory.
+    /// All distinct locations in the memory, in order.
     fn locs(&self) -> Vec<Expr> {
         let mut out: Vec<Expr> = self.cells.keys().map(|(l, _)| l.clone()).collect();
-        out.sort();
         out.dedup();
         out
+    }
+
+    /// Drops every cell of location `loc`: the cells of one location are
+    /// contiguous in key order, found by one range scan from `(loc, "")`.
+    fn dispose(&mut self, loc: &Expr) {
+        let props: Vec<(Expr, Arc<str>)> = self
+            .cells
+            .range((loc.clone(), Arc::from(""))..)
+            .take_while(|((l, _), _)| l == loc)
+            .map(|(key, _)| key.clone())
+            .collect();
+        for key in props {
+            self.cells.remove(&key);
+        }
     }
 }
 
@@ -175,8 +191,8 @@ impl SymbolicMemory for WhileSymMemory {
 
     fn save(&self, enc: &mut Encoder, out: &mut Vec<u8>) -> Result<(), StateIoError> {
         serial::put_len(out, self.cells.len(), "while memory cells")?;
-        // BTreeMap iteration is canonical order, so equal memories encode
-        // to equal bytes.
+        // Iteration is in key order, so equal memories encode to equal
+        // bytes.
         for ((loc, prop), value) in self.cells.iter() {
             enc.write_expr(out, loc)?;
             serial::put_str(out, prop)?;
@@ -187,16 +203,14 @@ impl SymbolicMemory for WhileSymMemory {
 
     fn load(dec: &Decoder, r: &mut ByteReader<'_>) -> Result<Self, StateIoError> {
         let n = r.count()?;
-        let mut cells = BTreeMap::new();
+        let mut cells = PMap::new();
         for _ in 0..n {
             let loc = dec.read_expr(r)?;
             let prop: Arc<str> = Arc::from(r.str()?);
             let value = dec.read_expr(r)?;
             cells.insert((loc, prop), value);
         }
-        Ok(WhileSymMemory {
-            cells: Arc::new(cells),
-        })
+        Ok(WhileSymMemory { cells })
     }
 
     fn execute_action(
@@ -222,7 +236,11 @@ impl SymbolicMemory for WhileSymMemory {
                 for loc in self.locs_with(&prop) {
                     let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
                     if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                        let value = self.cells[&(loc.clone(), prop.clone())].clone();
+                        let value = self
+                            .cells
+                            .get(&(loc.clone(), prop.clone()))
+                            .expect("locs_with yields locations defining prop")
+                            .clone();
                         branches.push(SymBranch::ok_if(self.clone(), value, eq));
                     }
                     none_of = none_of.and(el.clone().ne(loc));
@@ -252,8 +270,7 @@ impl SymbolicMemory for WhileSymMemory {
                     let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
                     if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
                         let mut mem = self.clone();
-                        Arc::make_mut(&mut mem.cells)
-                            .insert((loc.clone(), prop.clone()), ev.clone());
+                        mem.cells.insert((loc.clone(), prop.clone()), ev.clone());
                         branches.push(SymBranch::ok_if(mem, ev.clone(), eq));
                     }
                     none_of = none_of.and(el.clone().ne(loc));
@@ -263,7 +280,7 @@ impl SymbolicMemory for WhileSymMemory {
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
                     let mut mem = self.clone();
-                    Arc::make_mut(&mut mem.cells).insert((el, prop), ev.clone());
+                    mem.cells.insert((el, prop), ev.clone());
                     branches.push(SymBranch::ok_if(mem, ev, none_of));
                 }
                 branches
@@ -277,7 +294,7 @@ impl SymbolicMemory for WhileSymMemory {
                     let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
                     if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
                         let mut mem = self.clone();
-                        Arc::make_mut(&mut mem.cells).retain(|(l, _), _| l != &loc);
+                        mem.dispose(&loc);
                         branches.push(SymBranch::ok_if(mem, Expr::tt(), eq));
                     }
                     none_of = none_of.and(el.clone().ne(loc));
@@ -425,5 +442,30 @@ mod tests {
         let branches = m.execute_action("lookup", &Expr::list([x, Expr::str("a")]), &pc, &solver);
         assert_eq!(branches.len(), 1, "pc pins the alias: {branches:?}");
         assert_eq!(branches[0].outcome, Ok(Expr::int(10)));
+    }
+
+    #[test]
+    fn symbolic_mutate_shares_all_but_a_path() {
+        // 100 objects with fields `a` and `b`.
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = WhileSymMemory::default();
+        for i in 0..100 {
+            m.insert(Expr::Val(sym(i)), "a", Expr::int(0));
+            m.insert(Expr::Val(sym(i)), "b", Expr::int(1));
+        }
+        let bound = 2 * m.cells.height();
+        for field in ["a", "c"] {
+            let arg = Expr::list([Expr::Val(sym(61)), Expr::str(field), Expr::int(5)]);
+            let branches = m.execute_action("mutate", &arg, &pc, &solver);
+            assert_eq!(branches.len(), 1);
+            let cells = &branches[0].memory.cells;
+            let unshared = cells.unshared_nodes(&m.cells);
+            assert!(
+                unshared <= bound && 4 * bound < cells.node_count(),
+                "mutate {field} copied {unshared} of {} nodes (bound {bound})",
+                cells.node_count()
+            );
+        }
     }
 }
