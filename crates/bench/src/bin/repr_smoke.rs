@@ -18,10 +18,9 @@
 //! Output path: `BENCH_repr.json` in the current directory, or the path
 //! in `BENCH_REPR_OUT`.
 //!
-//! Solver A/B: `GILLIAN_INCREMENTAL=0` / `GILLIAN_IMPLICATION=0`
-//! disable the incremental per-prefix contexts and the implication-aware
-//! verdict index respectively (see [`gillian_bench::solver_from_env`]),
-//! so before/after throughput comparisons need no rebuild.
+//! Solver A/B: `GILLIAN_INCREMENTAL=0` disables the incremental
+//! per-prefix contexts (see [`gillian_bench::solver_from_env`]), so
+//! before/after throughput comparisons need no rebuild.
 //!
 //! Bytecode A/B: the main table rows honour `GILLIAN_BYTECODE` (the
 //! register-bytecode evaluator, on by default; `=0` falls back to the

@@ -79,20 +79,15 @@ pub fn checkpoint_from_env() -> Option<gillian_core::CheckpointConfig> {
     Some(cfg)
 }
 
-/// The optimized solver with the incremental-solving layers toggled by
-/// environment: `GILLIAN_INCREMENTAL=0` disables per-prefix solve
-/// contexts, `GILLIAN_IMPLICATION=0` disables the implication-aware
-/// verdict index (any other value, or unset, keeps both on). A/B harness
-/// for `repr_smoke`: the layers are verdict-transparent, so toggling
-/// them moves only throughput, never results.
+/// The optimized solver with incremental solving toggled by environment:
+/// `GILLIAN_INCREMENTAL=0` disables per-prefix solve contexts (any other
+/// value, or unset, keeps them on). A/B harness for `repr_smoke`: the
+/// layer is verdict-transparent, so toggling it moves only throughput,
+/// never results.
 pub fn solver_from_env() -> Solver {
-    let off = |var: &str| std::env::var(var).as_deref() == Ok("0");
     let mut cfg = SolverConfig::optimized();
-    if off("GILLIAN_INCREMENTAL") {
+    if std::env::var("GILLIAN_INCREMENTAL").as_deref() == Ok("0") {
         cfg.incremental = false;
-    }
-    if off("GILLIAN_IMPLICATION") {
-        cfg.implication_caching = false;
     }
     Solver::new(cfg)
 }
@@ -278,13 +273,11 @@ mod tests {
     fn incremental_matches_monolithic_on_table_suites() {
         // Real guest-language workloads (one Table 1 suite, one Table 2
         // suite), serial and 4-worker: the incremental per-prefix
-        // contexts and the implication index must change nothing
-        // observable — same tests verified, same command counts, same
-        // path counts, clean on both sides.
+        // contexts must change nothing observable — same tests verified,
+        // same command counts, same path counts, clean on both sides.
         let monolithic = || {
             Solver::new(SolverConfig {
                 incremental: false,
-                implication_caching: false,
                 ..SolverConfig::optimized()
             })
         };

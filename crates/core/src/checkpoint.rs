@@ -336,14 +336,13 @@ fn read_trace(r: &mut ByteReader) -> Result<Vec<u32>, WireError> {
     Ok(trace)
 }
 
-fn diag_pairs(d: &ExploreDiagnostics) -> [(&'static str, u64); 8] {
+fn diag_pairs(d: &ExploreDiagnostics) -> [(&'static str, u64); 7] {
     [
         ("deadline_hits", d.deadline_hits as u64),
         ("cancellations", d.cancellations as u64),
         ("engine_errors", d.engine_errors as u64),
         ("unknown_verdicts", d.unknown_verdicts),
         ("incremental_hits", d.incremental_hits),
-        ("implication_hits", d.implication_hits),
         ("summaries_recorded", d.summaries_recorded),
         ("summaries_applied", d.summaries_applied),
     ]
@@ -483,15 +482,15 @@ pub fn decode_checkpoint<S: GilState>(
     for _ in 0..n {
         let name = r.str()?;
         let v = r.u64()?;
-        // Unknown names are skipped: a same-version file never has any,
-        // but tolerating them keeps minor additions non-breaking.
+        // Unknown names are skipped, which keeps minor additions and
+        // removals non-breaking: files written before the implication
+        // index was removed still carry an `implication_hits` pair.
         match name {
             "deadline_hits" => diagnostics.deadline_hits = v as usize,
             "cancellations" => diagnostics.cancellations = v as usize,
             "engine_errors" => diagnostics.engine_errors = v as usize,
             "unknown_verdicts" => diagnostics.unknown_verdicts = v,
             "incremental_hits" => diagnostics.incremental_hits = v,
-            "implication_hits" => diagnostics.implication_hits = v,
             "summaries_recorded" => diagnostics.summaries_recorded = v,
             "summaries_applied" => diagnostics.summaries_applied = v,
             _ => {}

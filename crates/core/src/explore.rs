@@ -294,10 +294,6 @@ pub struct ExploreDiagnostics {
     /// Telemetry only — reuse never changes a verdict — so this does not
     /// affect [`ExploreDiagnostics::is_clean`].
     pub incremental_hits: u64,
-    /// Satisfiability queries answered by the implication-aware verdict
-    /// index (UNSAT subsets, witnessed SAT supersets/models). Telemetry
-    /// only, like [`ExploreDiagnostics::incremental_hits`].
-    pub implication_hits: u64,
     /// Procedure summaries harvested during this run (clean callee
     /// windows recorded into the solver's summary store). Telemetry only,
     /// like [`ExploreDiagnostics::incremental_hits`]: recording never
@@ -710,11 +706,8 @@ fn explore_frontier<S: GilState>(
         d.engine_errors += base.diagnostics.engine_errors;
         d.unknown_verdicts = sentinel.unknown_verdicts().saturating_sub(unknowns_before)
             + base.diagnostics.unknown_verdicts;
-        let reuse = sentinel.solver_reuse();
-        d.incremental_hits =
-            reuse.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-        d.implication_hits =
-            reuse.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
+        d.incremental_hits = sentinel.solver_reuse().saturating_sub(reuse_before)
+            + base.diagnostics.incremental_hits;
         let summ = sentinel.summary_stats();
         d.summaries_recorded =
             summ.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;
@@ -1033,11 +1026,8 @@ fn explore_frontier<S: GilState>(
     result.diagnostics.unknown_verdicts =
         sentinel.unknown_verdicts().saturating_sub(unknowns_before)
             + base.diagnostics.unknown_verdicts;
-    let reuse_after = sentinel.solver_reuse();
     result.diagnostics.incremental_hits =
-        reuse_after.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-    result.diagnostics.implication_hits =
-        reuse_after.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
+        sentinel.solver_reuse().saturating_sub(reuse_before) + base.diagnostics.incremental_hits;
     let summary_after = sentinel.summary_stats();
     result.diagnostics.summaries_recorded =
         summary_after.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;
@@ -1694,11 +1684,8 @@ where
         d.engine_errors = base.diagnostics.engine_errors + run_errors;
         d.unknown_verdicts = sentinel.unknown_verdicts().saturating_sub(unknowns_before)
             + base.diagnostics.unknown_verdicts;
-        let reuse = sentinel.solver_reuse();
-        d.incremental_hits =
-            reuse.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-        d.implication_hits =
-            reuse.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
+        d.incremental_hits = sentinel.solver_reuse().saturating_sub(reuse_before)
+            + base.diagnostics.incremental_hits;
         let summ = sentinel.summary_stats();
         d.summaries_recorded =
             summ.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;
@@ -1968,11 +1955,8 @@ where
     result.diagnostics.unknown_verdicts =
         sentinel.unknown_verdicts().saturating_sub(unknowns_before)
             + base.diagnostics.unknown_verdicts;
-    let reuse_after = sentinel.solver_reuse();
     result.diagnostics.incremental_hits =
-        reuse_after.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-    result.diagnostics.implication_hits =
-        reuse_after.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
+        sentinel.solver_reuse().saturating_sub(reuse_before) + base.diagnostics.incremental_hits;
     let summary_after = sentinel.summary_stats();
     result.diagnostics.summaries_recorded =
         summary_after.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;

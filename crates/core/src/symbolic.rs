@@ -79,6 +79,22 @@ pub type SymStore = BTreeMap<Ident, Expr>;
 /// never write, pay nothing.
 pub type SharedSymStore = Arc<SymStore>;
 
+/// Binds `x ↦ v` in `store`, cloning the name only for a new binding.
+///
+/// Program-variable names are shared by every worker through the compiled
+/// program, so an already-bound variable is overwritten in place:
+/// `insert(x.clone(), v)` would bump the name's refcount and then drop the
+/// clone again (the map keeps its existing key), and parallel workers
+/// would contend on that cache line on every assignment (`DESIGN.md` §8).
+fn bind<K: Ord + Clone, V>(store: &mut BTreeMap<K, V>, x: &K, v: V) {
+    match store.get_mut(x) {
+        Some(slot) => *slot = v,
+        None => {
+            store.insert(x.clone(), v);
+        }
+    }
+}
+
 /// A symbolic GIL state `⟨µ̂, ρ̂, ξ̂, π̂⟩` over symbolic memory model `M`.
 #[derive(Clone, Debug)]
 pub struct SymbolicState<M> {
@@ -272,7 +288,7 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
     }
 
     fn set_var(&mut self, x: &Ident, v: Expr) {
-        Arc::make_mut(&mut self.store).insert(x.clone(), v);
+        bind(Arc::make_mut(&mut self.store), x, v);
     }
 
     fn store(&self) -> &SharedSymStore {
@@ -487,9 +503,8 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
         self.solver.stats().sat_unknowns
     }
 
-    fn solver_reuse(&self) -> (u64, u64) {
-        let stats = self.solver.stats();
-        (stats.incremental_hits, stats.implication_hits)
+    fn solver_reuse(&self) -> u64 {
+        self.solver.stats().incremental_hits
     }
 
     /// Layout: store, allocator record, path condition, memory. The
@@ -713,6 +728,41 @@ mod tests {
         let v = st.eval(&Expr::pvar("x").add(Expr::int(3))).unwrap();
         assert_eq!(v, Expr::int(5));
         assert!(st.eval(&Expr::pvar("missing")).is_err());
+    }
+
+    #[test]
+    fn rebinding_a_variable_leaves_its_name_untouched() {
+        // A name whose clones are counted: `Arc::strong_count` alone
+        // cannot see a clone that the map drops again before returning.
+        thread_local! {
+            static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        }
+        #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+        struct Name(Ident);
+        impl Clone for Name {
+            fn clone(&self) -> Self {
+                CLONES.with(|c| c.set(c.get() + 1));
+                Name(self.0.clone())
+            }
+        }
+        let clones = || CLONES.with(std::cell::Cell::get);
+        let x = Name("x".into());
+        let mut store = BTreeMap::new();
+        bind(&mut store, &x, 1);
+        assert_eq!(clones(), 1, "a new binding stores one clone");
+        bind(&mut store, &x, 2);
+        bind(&mut store, &Name("x".into()), 3);
+        assert_eq!(clones(), 1, "a rebinding must not clone the name");
+        assert_eq!(store.len(), 1);
+        assert_eq!(store[&x], 3);
+
+        let mut st = state();
+        let x: Ident = "x".into();
+        st.set_var(&x, Expr::int(1));
+        let bound = Arc::strong_count(&x);
+        st.set_var(&x, Expr::int(2));
+        assert_eq!(Arc::strong_count(&x), bound);
+        assert_eq!(st.store().get(&x), Some(&Expr::int(2)));
     }
 
     #[test]

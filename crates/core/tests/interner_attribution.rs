@@ -40,17 +40,21 @@ fn mint_noise(stop: &AtomicBool, min: u64) -> u64 {
     minted
 }
 
-fn branching_ops() -> Vec<Op> {
+/// Eight independent symbolic branches. The tests in this binary run
+/// concurrently and share the process-global interner, so each passes
+/// its own `offset` into every constant: a test that minted the same
+/// terms first would leave the other's run with interner hits only.
+fn branching_ops(offset: i64) -> Vec<Op> {
     let mut ops = Vec::new();
     for i in 0..8u8 {
         ops.push(Op::Sym);
-        ops.push(Op::Branch(i, 1));
-        ops.push(Op::Bump(i as i64));
+        ops.push(Op::Branch(i, offset + 1));
+        ops.push(Op::Bump(offset + i as i64));
     }
     ops
 }
 
-fn run_with_background_noise(workers: usize) -> (InternStats, u64) {
+fn run_with_background_noise(workers: usize, offset: i64) -> (InternStats, u64) {
     let stop = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(2));
     let noise = {
@@ -62,7 +66,7 @@ fn run_with_background_noise(workers: usize) -> (InternStats, u64) {
         })
     };
     start.wait();
-    let prog = build_prog(&branching_ops());
+    let prog = build_prog(&branching_ops(offset));
     let cfg = ExploreConfig {
         workers,
         ..Default::default()
@@ -80,7 +84,7 @@ fn run_with_background_noise(workers: usize) -> (InternStats, u64) {
 
 #[test]
 fn serial_interner_stats_ignore_other_threads() {
-    let (attributed, noise_mints) = run_with_background_noise(1);
+    let (attributed, noise_mints) = run_with_background_noise(1, 1_000);
     assert!(noise_mints >= 100_000, "noise thread minted {noise_mints}");
     assert!(
         attributed.mints < 50_000,
@@ -95,8 +99,8 @@ fn serial_interner_stats_ignore_other_threads() {
 
 #[test]
 fn parallel_interner_stats_ignore_other_threads_and_do_not_double_count() {
-    let (serial, _) = run_with_background_noise(1);
-    let (par, noise_mints) = run_with_background_noise(4);
+    let (serial, _) = run_with_background_noise(1, 2_000);
+    let (par, noise_mints) = run_with_background_noise(4, 2_000);
     assert!(
         par.mints < 50_000,
         "parallel run attributed {} mints — noise leaked in (noise minted {noise_mints})",

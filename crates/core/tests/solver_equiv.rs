@@ -1,16 +1,16 @@
 //! Solver-equivalence battery: the incremental per-prefix contexts and
-//! the implication-aware verdict index are *transparent* optimizations —
-//! every configuration of {incremental, implication index, exact cache}
-//! must produce identical verdicts on identical queries, and every
-//! witness model must concretely satisfy the condition it witnesses.
+//! the exact-key verdict cache are *transparent* optimizations — every
+//! configuration of {incremental, exact cache} must produce identical
+//! verdicts on identical queries, and every witness model must
+//! concretely satisfy the condition it witnesses.
 //!
 //! Two generators drive the battery:
 //!
 //! - random *conjunct chains* grown one atom at a time through
 //!   [`gillian_solver::Solver::sat_assume`], querying every prefix under
-//!   all eight solver configurations (this is the exact access pattern
-//!   the symbolic engine produces, so it exercises prefix reuse, subset
-//!   and superset probes, and witness-model evaluation);
+//!   all four solver configurations (this is the exact access pattern
+//!   the symbolic engine produces, so it exercises prefix reuse and
+//!   cache hits);
 //! - random *branching programs* (the shared `common` generator) explored
 //!   to completion under each configuration, comparing order-normalized
 //!   path sets and command counts.
@@ -80,24 +80,21 @@ fn atom_strategy() -> impl Strategy<Value = Atom> {
     ]
 }
 
-/// All eight {incremental, implication, exact cache} configurations, each
-/// with its own solver instance (caches must not leak across legs).
+/// All four {incremental, exact cache} configurations, each with its own
+/// solver instance (caches must not leak across legs).
 fn solver_grid() -> Vec<(String, Solver)> {
     let mut out = Vec::new();
     for incremental in [false, true] {
-        for implication in [false, true] {
-            for caching in [false, true] {
-                let cfg = SolverConfig {
-                    incremental,
-                    implication_caching: implication,
-                    caching,
-                    ..SolverConfig::optimized()
-                };
-                out.push((
-                    format!("inc={incremental} impl={implication} cache={caching}"),
-                    Solver::new(cfg),
-                ));
-            }
+        for caching in [false, true] {
+            let cfg = SolverConfig {
+                incremental,
+                caching,
+                ..SolverConfig::optimized()
+            };
+            out.push((
+                format!("inc={incremental} cache={caching}"),
+                Solver::new(cfg),
+            ));
         }
     }
     out
@@ -141,8 +138,8 @@ proptest! {
                 }
             }
         }
-        // Re-query every full chain: the answered-from-cache paths (exact
-        // and implication) must agree with the freshly solved ones too.
+        // Re-query every full chain: the answered-from-cache paths must
+        // agree with the freshly solved ones too.
         let mut reference: Option<SatResult> = None;
         for ((name, solver), pc) in grid.iter().zip(pcs.iter()) {
             let verdict = solver.check_sat(pc);
@@ -163,34 +160,31 @@ proptest! {
         let prog = build_prog(&ops);
         let mut reference: Option<(Vec<(String, String)>, u64)> = None;
         for incremental in [false, true] {
-            for implication in [false, true] {
-                let cfg = SolverConfig {
-                    incremental,
-                    implication_caching: implication,
-                    ..SolverConfig::optimized()
-                };
-                let r = explore(
-                    &prog,
-                    "main",
-                    state_with(Arc::new(Solver::new(cfg))),
-                    ExploreConfig::default(),
-                );
-                prop_assert!(!r.truncated, "budgets must not bind on these programs");
-                prop_assert!(
-                    r.diagnostics.is_clean(),
-                    "unexpected incidents: {:?}", r.diagnostics
-                );
-                let s = summary(&r);
-                match &reference {
-                    None => reference = Some((s, r.total_cmds)),
-                    Some((expected, cmds)) => {
-                        prop_assert_eq!(
-                            &s, expected,
-                            "inc={} impl={} changed the explored paths",
-                            incremental, implication
-                        );
-                        prop_assert_eq!(r.total_cmds, *cmds);
-                    }
+            let cfg = SolverConfig {
+                incremental,
+                ..SolverConfig::optimized()
+            };
+            let r = explore(
+                &prog,
+                "main",
+                state_with(Arc::new(Solver::new(cfg))),
+                ExploreConfig::default(),
+            );
+            prop_assert!(!r.truncated, "budgets must not bind on these programs");
+            prop_assert!(
+                r.diagnostics.is_clean(),
+                "unexpected incidents: {:?}", r.diagnostics
+            );
+            let s = summary(&r);
+            match &reference {
+                None => reference = Some((s, r.total_cmds)),
+                Some((expected, cmds)) => {
+                    prop_assert_eq!(
+                        &s, expected,
+                        "inc={} changed the explored paths",
+                        incremental
+                    );
+                    prop_assert_eq!(r.total_cmds, *cmds);
                 }
             }
         }

@@ -1,5 +1,5 @@
-//! Incremental-solving support: frozen per-prefix solver state and the
-//! implication-aware verdict index (see `DESIGN.md` §12).
+//! Incremental-solving support: frozen per-prefix solver state (see
+//! `DESIGN.md` §12).
 //!
 //! [`SolveCtx`] is the solver state left over after a *clean* solve of a
 //! path condition — typing environment, union-find, residual atoms, and
@@ -9,33 +9,13 @@
 //! since, instead of re-solving the whole conjunction (the incremental,
 //! functional solver-state technique Soteria reports as a headline
 //! optimization).
-//!
-//! [`ImplicationCache`] generalizes the exact-key result cache along the
-//! implication order of conjunct sets (Green-style reuse):
-//!
-//! - an **UNSAT** verdict for key `K` answers UNSAT for any probe
-//!   `P ⊇ K` (the contradiction is still inside `P`);
-//! - a **SAT** verdict is stored only with its *verified witness model*,
-//!   which answers SAT for any probe `P ⊆ K` (the model satisfies every
-//!   conjunct of `K`, hence of `P`) and for any probe the model happens
-//!   to satisfy outright.
-//!
-//! Both rules are witness-backed (a derived contradiction, a concrete
-//! model), so a hit can never contradict what a direct solve may answer
-//! — direct solves err only toward `Unknown`, which the engine treats as
-//! "possibly sat" anyway. Unknown verdicts are never indexed, and the
-//! whole index is bypassed while a deadline or cancellation is armed:
-//! time-dependent verdicts must not generalize to other keys.
 
 use crate::intervals::{IntDomain, NumDomain};
-use crate::model::Model;
-use crate::pathcond::PcKey;
 use crate::sat::{Atoms, SatResult};
 use crate::typing::TypeEnv;
 use crate::uf::UnionFind;
 use gillian_gil::{BinOp, Expr};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// The frozen result of solving one path-condition prefix.
 ///
@@ -94,209 +74,5 @@ pub(crate) fn collect_mask_sites(exprs: &[Expr], out: &mut Vec<(Expr, Expr, i64)
                 }
             }
         });
-    }
-}
-
-/// Entries kept in the implication index. Small on purpose: probes scan
-/// linearly (with a signature prefilter), so the cap bounds probe cost;
-/// insertion evicts the oldest entry ring-buffer style.
-const IMPLICATION_CAP: usize = 512;
-
-/// Witness models evaluated per probe. Model evaluation walks every
-/// conjunct tree, so unbounded tries would cost more than the solve they
-/// replace.
-const MODEL_EVALS_PER_PROBE: usize = 4;
-
-/// One-bit-per-id Bloom signature of a sorted id set: `sig(A) & !sig(B)
-/// == 0` is necessary for `A ⊆ B`, rejecting most non-subset pairs with
-/// two word operations.
-fn signature(ids: &[u64]) -> u64 {
-    ids.iter().fold(0u64, |sig, id| {
-        sig | (1u64 << (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58))
-    })
-}
-
-/// `a ⊆ b` for sorted, deduplicated slices (linear merge walk).
-fn sorted_subset(a: &[u64], b: &[u64]) -> bool {
-    let mut i = 0;
-    for &x in a {
-        while i < b.len() && b[i] < x {
-            i += 1;
-        }
-        if i >= b.len() || b[i] != x {
-            return false;
-        }
-        i += 1;
-    }
-    true
-}
-
-#[derive(Debug)]
-struct ImplEntry {
-    sig: u64,
-    ids: Arc<[u64]>,
-    /// Bloom signature over the logical variables the witness model
-    /// assigns (0 for UNSAT entries). A model can only satisfy a probe
-    /// outright if it covers every variable the probe mentions, so this
-    /// gates the per-probe model evaluations — without it, every probe
-    /// pays tree-walk evaluations against models that cannot apply.
-    var_sig: u64,
-    /// `None` marks an UNSAT entry; `Some` a SAT entry with its verified
-    /// witness model.
-    model: Option<Arc<Model>>,
-}
-
-/// Bloom signature over a witness model's assigned variables.
-fn model_var_signature(model: &Model) -> u64 {
-    model.iter().fold(0u64, |sig, (x, _)| {
-        sig | (1u64 << (x.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58))
-    })
-}
-
-/// Bloom signature over every logical variable the conjuncts mention.
-fn probe_var_signature(conjuncts: &[Expr]) -> u64 {
-    let mut sig = 0u64;
-    for c in conjuncts {
-        c.visit(&mut |e| {
-            if let Expr::LVar(x) = e {
-                sig |= 1u64 << (x.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58);
-            }
-        });
-    }
-    sig
-}
-
-/// The implication-aware verdict index layered over the exact-key cache.
-#[derive(Debug, Default)]
-pub(crate) struct ImplicationCache {
-    entries: Mutex<VecDeque<ImplEntry>>,
-}
-
-impl ImplicationCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<ImplEntry>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks for an entry that decides the probe by implication. The
-    /// probe's `conjuncts` are only read when a witness model is
-    /// evaluated against them (bounded by [`MODEL_EVALS_PER_PROBE`]).
-    pub(crate) fn probe(&self, key: &PcKey, conjuncts: &[Expr]) -> Option<SatResult> {
-        let ids = key.ids();
-        let psig = signature(ids);
-        let entries = self.lock();
-        let mut model_evals = 0;
-        // Computed lazily: most probes are decided (or rejected) by the
-        // id-set signatures alone and never need the variable walk.
-        let mut pvar_sig: Option<u64> = None;
-        for e in entries.iter().rev() {
-            match &e.model {
-                None => {
-                    // UNSAT entry: entry ⊆ probe → the probe still
-                    // contains the proven contradiction.
-                    if e.ids.len() <= ids.len() && e.sig & !psig == 0 && sorted_subset(&e.ids, ids)
-                    {
-                        return Some(SatResult::Unsat);
-                    }
-                }
-                Some(model) => {
-                    // SAT entry: probe ⊆ entry → the entry's model
-                    // satisfies every probe conjunct by construction.
-                    if ids.len() <= e.ids.len() && psig & !e.sig == 0 && sorted_subset(ids, &e.ids)
-                    {
-                        return Some(SatResult::Sat);
-                    }
-                    // Otherwise the model may still happen to satisfy the
-                    // probe outright (common when new conjuncts constrain
-                    // already-assigned variables) — but only a model that
-                    // covers every probe variable can, so the var-signature
-                    // gate runs before any tree-walk evaluation.
-                    if model_evals < MODEL_EVALS_PER_PROBE {
-                        let pvs = *pvar_sig.get_or_insert_with(|| probe_var_signature(conjuncts));
-                        if pvs & !e.var_sig == 0 {
-                            model_evals += 1;
-                            if model.satisfies(conjuncts) {
-                                return Some(SatResult::Sat);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Indexes a proven-UNSAT conjunct set.
-    pub(crate) fn insert_unsat(&self, key: &PcKey) {
-        self.insert(ImplEntry {
-            sig: signature(key.ids()),
-            ids: key.ids_arc(),
-            var_sig: 0,
-            model: None,
-        });
-    }
-
-    /// Indexes a SAT conjunct set together with its verified witness.
-    pub(crate) fn insert_sat(&self, key: &PcKey, model: Arc<Model>) {
-        self.insert(ImplEntry {
-            sig: signature(key.ids()),
-            ids: key.ids_arc(),
-            var_sig: model_var_signature(&model),
-            model: Some(model),
-        });
-    }
-
-    fn insert(&self, entry: ImplEntry) {
-        let mut entries = self.lock();
-        if entries
-            .iter()
-            .any(|e| e.sig == entry.sig && e.ids == entry.ids)
-        {
-            return;
-        }
-        if entries.len() >= IMPLICATION_CAP {
-            entries.pop_front();
-        }
-        entries.push_back(entry);
-    }
-
-    /// Number of indexed entries (test introspection).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn signatures_respect_subset() {
-        let a = [3u64, 17, 90];
-        let b = [1u64, 3, 17, 42, 90];
-        assert_eq!(signature(&a) & !signature(&b), 0);
-        assert!(sorted_subset(&a, &b));
-        assert!(!sorted_subset(&b, &a));
-        assert!(sorted_subset(&[], &a));
-        assert!(!sorted_subset(&[4], &a));
-    }
-
-    #[test]
-    fn ring_eviction_keeps_cap() {
-        let cache = ImplicationCache::default();
-        for i in 0..(IMPLICATION_CAP + 40) as u64 {
-            let key = crate::pathcond::PcKey::for_tests(vec![i, i + 1_000_000]);
-            cache.insert_unsat(&key);
-        }
-        assert_eq!(cache.len(), IMPLICATION_CAP);
-    }
-
-    #[test]
-    fn duplicate_keys_are_not_reinserted() {
-        let cache = ImplicationCache::default();
-        let key = crate::pathcond::PcKey::for_tests(vec![1, 2, 3]);
-        cache.insert_unsat(&key);
-        cache.insert_unsat(&key);
-        assert_eq!(cache.len(), 1);
     }
 }

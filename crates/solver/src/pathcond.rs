@@ -86,20 +86,9 @@ impl PcKey {
         &self.ids
     }
 
-    /// The sorted conjunct-set ids as a shared handle (a refcount bump).
-    pub fn ids_arc(&self) -> Arc<[u64]> {
-        self.ids.clone()
-    }
-
     /// The precomputed hash (used for cache sharding).
     pub fn precomputed_hash(&self) -> u64 {
         self.hash
-    }
-
-    /// Builds a key directly from ids (unit-test helper).
-    #[cfg(test)]
-    pub(crate) fn for_tests(ids: Vec<u64>) -> PcKey {
-        PcKey::from_ids(ids)
     }
 }
 

@@ -7,9 +7,9 @@
 //! exposes exactly those two switches so the benchmark harness can
 //! reproduce both engine configurations (Table 1).
 
-use crate::ctx::{CapturedState, ImplicationCache, SolveCtx};
+use crate::ctx::{CapturedState, SolveCtx};
 use crate::interrupt::Interrupt;
-use crate::model::{find_model, harvest_witness, Model, ModelBudget};
+use crate::model::{find_model, Model, ModelBudget};
 use crate::pathcond::{PathCondition, PcEnv, PcKey};
 use crate::sat::{
     check_conjunction, check_conjunction_capturing, check_extension, SatBudget, SatResult,
@@ -63,12 +63,6 @@ impl std::fmt::Debug for FaultProbeSlot {
     }
 }
 
-/// Largest conjunction a decided-SAT query will try to harvest a witness
-/// model from for the implication index. Bigger conjunctions rarely
-/// subsume later probes and make the bounded model search both slower
-/// and likelier to fail, so the harvest cost would be pure waste.
-const HARVEST_MAX_CONJUNCTS: usize = 24;
-
 thread_local! {
     /// Memo-miss counter driving the 1-in-[`SIMPLIFY_SAMPLE`] probe.
     static TL_SIMPLIFY_SAMPLE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -121,10 +115,6 @@ pub struct SolverConfig {
     /// condition's newest chain node and answer descendant queries by
     /// propagating only the conjuncts pushed since (see `DESIGN.md` §12).
     pub incremental: bool,
-    /// Layer the implication-aware verdict index over the exact-key
-    /// cache: UNSAT verdicts answer supersets, witnessed SAT verdicts
-    /// answer subsets and model-satisfied probes.
-    pub implication_caching: bool,
 }
 
 impl SolverConfig {
@@ -136,7 +126,6 @@ impl SolverConfig {
             sat_budget: SatBudget::default(),
             model_budget: ModelBudget::default(),
             incremental: true,
-            implication_caching: true,
         }
     }
 
@@ -154,7 +143,6 @@ impl SolverConfig {
             sat_budget: SatBudget::default(),
             model_budget: ModelBudget::default(),
             incremental: false,
-            implication_caching: false,
         }
     }
 
@@ -167,7 +155,6 @@ impl SolverConfig {
             sat_budget: SatBudget::default(),
             model_budget: ModelBudget::default(),
             incremental: false,
-            implication_caching: false,
         }
     }
 }
@@ -200,8 +187,6 @@ pub struct SolverStats {
     /// Queries answered by extending a frozen per-prefix solve context
     /// instead of re-solving the whole conjunction.
     pub incremental_hits: u64,
-    /// Queries answered by the implication-aware verdict index.
-    pub implication_hits: u64,
 }
 
 /// The solver's handles into the process-global telemetry registry.
@@ -213,7 +198,6 @@ struct Tel {
     sat_cache_hits: &'static Counter,
     sat_unknowns: &'static Counter,
     sat_incremental_hits: &'static Counter,
-    sat_implication_hits: &'static Counter,
     sat_prefix_depth: &'static Histogram,
 }
 
@@ -226,7 +210,6 @@ fn tel() -> &'static Tel {
         sat_cache_hits: registry().counter(names::SAT_CACHE_HITS),
         sat_unknowns: registry().counter(names::SAT_UNKNOWNS),
         sat_incremental_hits: registry().counter(names::SAT_INCREMENTAL_HITS),
-        sat_implication_hits: registry().counter(names::SAT_IMPLICATION_HITS),
         sat_prefix_depth: registry().histogram(names::SAT_PREFIX_DEPTH),
     })
 }
@@ -329,7 +312,6 @@ impl SimplifyCache {
 pub struct Solver {
     config: SolverConfig,
     cache: SatCache,
-    implication: ImplicationCache,
     simplify_cache: SimplifyCache,
     /// The run-level interrupt installed by the exploration engine (see
     /// [`Solver::set_interrupt`]). One exploration at a time per solver:
@@ -359,7 +341,6 @@ pub struct Solver {
     sat_unknowns: AtomicU64,
     simplify_hits: AtomicU64,
     incremental_hits: AtomicU64,
-    implication_hits: AtomicU64,
 }
 
 /// Compile-time guarantee that the solver can be shared across the
@@ -409,7 +390,6 @@ impl Solver {
             sat_unknowns: self.sat_unknowns.load(Ordering::Relaxed),
             simplify_hits: self.simplify_hits.load(Ordering::Relaxed),
             incremental_hits: self.incremental_hits.load(Ordering::Relaxed),
-            implication_hits: self.implication_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -661,10 +641,10 @@ impl Solver {
     /// The uninstrumented satisfiability check; returns the verdict and
     /// whether the result cache answered.
     ///
-    /// Probe order on an exact-cache miss: the implication index (cheap,
-    /// sound by witness), then the incremental path (extend the deepest
-    /// frozen ancestor state), then a monolithic solve. Decided verdicts
-    /// flow back into every enabled layer; `Unknown` into none of them.
+    /// Probe order on an exact-cache miss: the incremental path (extend
+    /// the deepest frozen ancestor state), then a monolithic solve.
+    /// Decided verdicts flow back into every enabled layer; `Unknown` into
+    /// none of them.
     fn check_sat_inner(&self, pc: &PathCondition, key: &PcKey) -> (SatResult, bool) {
         let interrupt = self.interrupt();
         if interrupt.cancel.is_cancelled() {
@@ -682,36 +662,16 @@ impl Solver {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        // A "hurried" solve — any wall-clock deadline armed — bypasses
-        // the implication index on both the probe and the insert side:
-        // its generalized answers change which queries see budget
-        // artifacts, and its entries must never be minted by solves whose
-        // verdicts time could have influenced.
-        let hurried = budget.deadline.is_some();
         // The checker sees conjuncts in *structural* order: id order is
         // mint-order and would leak the exploration schedule into
         // verdict-affecting heuristics (case-split order etc.).
         let conjuncts = pc.sorted_conjuncts();
-        if self.config.implication_caching && !hurried {
-            if let Some(hit) = self.implication.probe(key, &conjuncts) {
-                self.implication_hits.fetch_add(1, Ordering::Relaxed);
-                tel().sat_implication_hits.incr();
-                if self.config.caching {
-                    self.cache.insert(key.clone(), hit);
-                }
-                return (hit, false);
-            }
-        }
         let mut capture: Option<CapturedState> = None;
         let result = if self.config.incremental {
             match self.check_sat_incremental(pc, budget, &mut capture) {
                 Some(verdict) => verdict,
                 None => check_conjunction_capturing(&conjuncts, budget, &mut capture),
             }
-        } else if self.config.implication_caching {
-            // Capturing costs a few `Arc` bumps on clean solves only, and
-            // the capture is how the harvest below recognizes them.
-            check_conjunction_capturing(&conjuncts, budget, &mut capture)
         } else {
             check_conjunction(&conjuncts, budget)
         };
@@ -721,27 +681,6 @@ impl Solver {
         }
         if self.config.caching {
             self.cache.insert(key.clone(), result);
-        }
-        if self.config.implication_caching && !hurried {
-            match result {
-                SatResult::Unsat => self.implication.insert_unsat(key),
-                SatResult::Sat if conjuncts.len() <= HARVEST_MAX_CONJUNCTS => {
-                    // Only witnessed SAT verdicts enter the index — the
-                    // model is what makes subset reuse sound — and the
-                    // witness is read off the captured end-of-solve state
-                    // (equality classes and interval endpoints, one
-                    // verification pass). Only clean Sats carry a capture:
-                    // a case-split Sat would need a fresh model *search*
-                    // per query just to maybe seed the index, a cost that
-                    // dominates branch-heavy workloads with no reuse.
-                    if let Some(state) = capture.as_ref() {
-                        if let Some(m) = harvest_witness(state, &conjuncts) {
-                            self.implication.insert_sat(key, Arc::new(m));
-                        }
-                    }
-                }
-                _ => {}
-            }
         }
         if self.config.incremental {
             // Freeze only complete results: an Unsat proof (valid for
@@ -981,26 +920,9 @@ mod tests {
         assert!(s.model(&pc).is_none());
     }
 
-    /// Incremental solving without the implication index, so the tests
-    /// below can attribute hits unambiguously.
-    fn incremental_only() -> Solver {
-        Solver::new(SolverConfig {
-            implication_caching: false,
-            ..SolverConfig::optimized()
-        })
-    }
-
-    /// The implication index without incremental solving.
-    fn implication_only() -> Solver {
-        Solver::new(SolverConfig {
-            incremental: false,
-            ..SolverConfig::optimized()
-        })
-    }
-
     #[test]
     fn incremental_reuse_fires_and_freezes_ctx() {
-        let s = incremental_only();
+        let s = Solver::optimized();
         let mut pc = PathCondition::new();
         pc.push(Expr::int(0).le(x(0)));
         assert_eq!(s.check_sat(&pc), SatResult::Sat);
@@ -1018,7 +940,7 @@ mod tests {
 
     #[test]
     fn unsat_prefix_decides_descendants() {
-        let s = incremental_only();
+        let s = Solver::optimized();
         let mut pc = PathCondition::new();
         pc.push(x(0).eq(Expr::int(1)));
         pc.push(x(0).eq(Expr::int(2)));
@@ -1034,7 +956,7 @@ mod tests {
 
     #[test]
     fn sat_assume_returns_the_adopted_condition() {
-        let s = incremental_only();
+        let s = Solver::optimized();
         let pc: PathCondition = [Expr::int(0).le(x(0))].into_iter().collect();
         assert_eq!(s.check_sat(&pc), SatResult::Sat);
         let (verdict, pc2) = s.sat_assume(&pc, &x(0).lt(Expr::int(10)));
@@ -1044,70 +966,6 @@ mod tests {
             pc2.has_solve_ctx(),
             "the returned condition carries the context this query froze"
         );
-    }
-
-    #[test]
-    fn implication_index_decides_unsat_supersets() {
-        let s = implication_only();
-        let mut pc = PathCondition::new();
-        pc.push(x(0).eq(Expr::int(1)));
-        pc.push(x(0).eq(Expr::int(2)));
-        assert_eq!(s.check_sat(&pc), SatResult::Unsat);
-        let mut pc2 = pc.clone();
-        pc2.push(Expr::int(0).le(x(1)));
-        assert_eq!(s.check_sat(&pc2), SatResult::Unsat);
-        assert_eq!(
-            s.stats().implication_hits,
-            1,
-            "the superset probe must hit the indexed contradiction"
-        );
-    }
-
-    #[test]
-    fn implication_index_decides_via_witness_model() {
-        let s = implication_only();
-        let pc: PathCondition = [Expr::int(0).le(x(0))].into_iter().collect();
-        assert_eq!(s.check_sat(&pc), SatResult::Sat);
-        // The witness model for `0 ≤ x` also satisfies the *superset*
-        // probe below (model evaluation, not subset structure).
-        let mut pc2 = pc.clone();
-        pc2.push(x(0).lt(Expr::int(10)));
-        assert_eq!(s.check_sat(&pc2), SatResult::Sat);
-        assert_eq!(s.stats().implication_hits, 1);
-        // A subset probe of an indexed SAT set is answered structurally.
-        let pc3: PathCondition = [x(0).lt(Expr::int(10))].into_iter().collect();
-        assert_eq!(s.check_sat(&pc3), SatResult::Sat);
-        assert_eq!(s.stats().implication_hits, 2);
-    }
-
-    #[test]
-    fn armed_deadline_bypasses_the_implication_index() {
-        use crate::interrupt::{CancelToken, Interrupt};
-        use std::time::{Duration, Instant};
-        let s = implication_only();
-        // Armed but nowhere near expiry: verdicts stay correct, yet the
-        // solve counts as hurried and must not touch the index.
-        let far = Instant::now() + Duration::from_secs(3600);
-        s.set_interrupt(Interrupt::new(Some(far), CancelToken::new()));
-        let mut pc = PathCondition::new();
-        pc.push(x(0).eq(Expr::int(1)));
-        pc.push(x(0).eq(Expr::int(2)));
-        assert_eq!(s.check_sat(&pc), SatResult::Unsat);
-        let mut pc2 = pc.clone();
-        pc2.push(Expr::int(0).le(x(1)));
-        assert_eq!(s.check_sat(&pc2), SatResult::Unsat);
-        assert_eq!(
-            s.stats().implication_hits,
-            0,
-            "hurried solves must neither probe nor mint index entries"
-        );
-        s.clear_interrupt();
-        // The hurried verdicts were not indexed: this superset of `pc`
-        // still cannot be answered by implication.
-        let mut pc3 = pc.clone();
-        pc3.push(Expr::int(0).le(x(2)));
-        assert_eq!(s.check_sat(&pc3), SatResult::Unsat);
-        assert_eq!(s.stats().implication_hits, 0);
     }
 
     #[test]
